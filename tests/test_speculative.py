@@ -85,6 +85,24 @@ class TestMisspeculationRecovery:
         res = engine.run(real, n_chunks=8)
         assert res.offsets_by_id == expected.offsets_by_id
 
+    @pytest.mark.parametrize("n_chunks", [8, 16])
+    def test_json_wrong_structure_prior_forces_reprocessing(self, n_chunks):
+        # token-mode twin of the case above: the prior knows "k" only
+        # under "x"; the real document nests it under "y" as well
+        import json
+
+        from repro.jsonstream import tokenize_json
+
+        queries = ["/json/r/x/k", "/json/r/y/k", "//k"]
+        engine = GapEngine(queries)
+        engine.learn_tokens(tokenize_json('{"r":[{"x":{"k":1}}]}'))
+        real = json.dumps({"r": [{"y": {"k": "q"}, "x": {"k": "p"}}] * 30})
+        tokens = tokenize_json(real)
+        expected = SequentialEngine(queries).run_tokens(tokens)
+        res = engine.run_tokens(tokens, n_chunks=n_chunks)
+        assert res.stats.counters.misspeculations > 0
+        assert res.offsets_by_id == expected.offsets_by_id
+
     def test_accuracy_and_cost_metrics_bounded(self):
         prior = "<r><x><k>1</k></x></r>"
         real = "<r>" + "<y><k>q</k></y>" * 10 + "</r>"

@@ -149,6 +149,43 @@ class TestStreamVsBatch:
             assert got.get(q, []) == list(batch.matches[q])
         assert session.totals.as_dict() == batch.stats.counters.as_dict()
 
+    # a partial grammar (``y`` undeclared) puts the stream in spec mode;
+    # a chunk starting at a ``<k>`` under ``<y>`` eliminates the true
+    # path, so the join must reprocess from the chunk's own tokens
+    MISSPEC_DTD = ("<!ELEMENT r (x|y)*>\n<!ELEMENT x (k)>\n"
+                   "<!ELEMENT k (#PCDATA)>\n")
+    MISSPEC_DOC = "<r>" + "<y><k>q</k></y><x><k>p</k></x>" * 40 + "</r>"
+    MISSPEC_QUERIES = ["/r/x/k", "/r/y/k"]
+
+    @pytest.mark.parametrize("chunk_bytes", [8, 16, 32])
+    def test_xml_misspeculation_reprocess(self, chunk_bytes):
+        from repro import SequentialEngine
+        from repro.obs.journal import Journal
+
+        queries = self.MISSPEC_QUERIES
+        s_journal, b_journal = Journal(), Journal()
+        session = StreamSession(queries, grammar=self.MISSPEC_DTD,
+                                chunk_bytes=chunk_bytes, journal=s_journal)
+        assert session.engine.mode == "spec"
+        session.sealed_log = []
+        deltas = collect(session, pieces_of(self.MISSPEC_DOC, chunk_bytes))
+        batch = GapEngine(queries, grammar=self.MISSPEC_DTD,
+                          journal=b_journal).run(
+            self.MISSPEC_DOC, chunks=self.sealed_chunks(session))
+        expected = SequentialEngine(queries).run(self.MISSPEC_DOC)
+        assert session.totals.misspeculations > 0
+        assert merged_matches(deltas) == {
+            q: list(v) for q, v in expected.matches.items() if v
+        }
+        assert session.totals.as_dict() == batch.stats.counters.as_dict()
+
+        def reprocessed(journal):
+            return sorted((ev.args["begin"], ev.args["end"], ev.args["tokens"])
+                          for ev in journal.by_kind("reprocess"))
+
+        assert reprocessed(s_journal)
+        assert reprocessed(s_journal) == reprocessed(b_journal)
+
     def test_single_piece_equals_many_pieces(self):
         one = StreamSession(XML_QUERIES, grammar=FEED_DTD, chunk_bytes=32)
         many = StreamSession(XML_QUERIES, grammar=FEED_DTD, chunk_bytes=32)
