@@ -46,6 +46,7 @@ from ..transducer.pipeline import (
     ParallelPipeline,
     ParallelRunResult,
     run_sequential_pipeline,
+    run_sequential_tokens,
 )
 from ..transducer.policies import BaselinePolicy, ELIMINATE_PAPER
 from ..xpath.automaton import build_automaton
@@ -296,18 +297,9 @@ class SequentialEngine(_EngineBase):
 
     def run_tokens(self, tokens: list) -> QueryResult:
         """Evaluate over a pre-tokenised stream (e.g. JSON tokens)."""
-        from ..transducer.counters import WorkCounters
-        from ..transducer.machine import run_sequential
-        from ..transducer.pipeline import ParallelRunResult
-
-        counters = WorkCounters(chunks=1, starting_paths=1)
-        if tokens:
-            counters.bytes_lexed = tokens[-1].offset + 1 - tokens[0].offset
-        res = run_sequential(self.automaton, tokens, self.anchor_sids, counters=counters)
-        run = ParallelRunResult(
-            events=res.events, final_state=res.state,
-            counters=counters, chunk_counters=[counters],
-        )
+        span = tokens[-1].offset + 1 - tokens[0].offset if tokens else 0
+        run = run_sequential_tokens(tokens, self.automaton, self.anchor_sids,
+                                    bytes_lexed=span)
         return self._result(run, decoder=self._token_decoder(tokens))
 
     def run_stream(self, pieces) -> QueryResult:
@@ -323,29 +315,21 @@ class SequentialEngine(_EngineBase):
         candidates' text after the pass ends, so for those the stream
         is buffered (memory ∝ document size, like :meth:`run`).
         """
-        from ..transducer.counters import WorkCounters
-        from ..transducer.machine import run_sequential
-        from ..transducer.pipeline import ParallelRunResult
-
         lexer = IncrementalLexer()
-        counters = WorkCounters(chunks=1, starting_paths=1)
+        fed = 0
         buffer: list[str] | None = [] if self.has_value_predicates else None
 
         def tokens():
+            nonlocal fed
             for piece in pieces:
-                counters.bytes_lexed += len(piece)
+                fed += len(piece)
                 if buffer is not None:
                     buffer.append(piece)
                 yield from lexer.feed(piece)
             yield from lexer.close()
 
-        res = run_sequential(self.automaton, tokens(), self.anchor_sids, counters=counters)
-        run = ParallelRunResult(
-            events=res.events,
-            final_state=res.state,
-            counters=counters,
-            chunk_counters=[counters],
-        )
+        run = run_sequential_tokens(tokens(), self.automaton, self.anchor_sids)
+        run.counters.bytes_lexed = fed
         decoder = self._text_decoder("".join(buffer)) if buffer is not None else None
         return self._result(run, decoder=decoder)
 

@@ -37,8 +37,8 @@ from hashlib import sha256
 from ..grammar.dtd_parser import parse_dtd
 from ..grammar.model import Grammar
 from ..grammar.xsd_parser import is_xsd, parse_xsd
-from ..xmlstream.chunking import Chunk, split_chunks
-from ..xmlstream.lexer import lex_range
+from ..store.docprep import prepare_json, prepare_xml
+from ..xmlstream.chunking import Chunk
 
 __all__ = [
     "DocumentRecord",
@@ -219,33 +219,16 @@ class DocumentRegistry:
         if isinstance(grammar, str):
             grammar = _parse_grammar(grammar)
         if _looks_like_json(text):
-            if self.store is not None:
-                from ..store.docprep import prepare_json
-
-                tokens = prepare_json(self.store, text)
-            else:
-                from ..jsonstream import tokenize_json
-
-                tokens = tokenize_json(text)
             return DocumentRecord(
                 doc_id=doc_id, name=name or doc_id, kind="json", text=text,
-                grammar=grammar, n_chunks=n_chunks, tokens=tokens,
+                grammar=grammar, n_chunks=n_chunks,
+                tokens=prepare_json(self.store, text),
             )
         if grammar is None and "<!DOCTYPE" in text[:65536]:
             grammar = parse_dtd(text)
-        if self.store is not None:
-            from ..store.docprep import prepare_xml
-
-            chunks, chunk_tokens = prepare_xml(
-                self.store, text, n_chunks, pre_lex=self.pre_lex
-            )
-        else:
-            chunks = split_chunks(text, n_chunks)
-            chunk_tokens = None
-            if self.pre_lex:
-                chunk_tokens = tuple(
-                    tuple(lex_range(text, c.begin, c.end)) for c in chunks
-                )
+        chunks, chunk_tokens = prepare_xml(
+            self.store, text, n_chunks, pre_lex=self.pre_lex
+        )
         return DocumentRecord(
             doc_id=doc_id, name=name or doc_id, kind="xml", text=text,
             grammar=grammar, n_chunks=n_chunks, chunks=chunks,

@@ -1,24 +1,27 @@
 """One live stream: incremental lex → seal → evaluate → match deltas.
 
 :class:`StreamSession` is the streaming counterpart of one
-``GapEngine.run()`` call, unrolled over time.  It mirrors the batch
-token pipeline operation-for-operation so that a finalized stream is
-byte-identical — matches *and* work counters — to a one-shot batch run
-over the concatenated bytes with the same chunk boundaries:
+``GapEngine.run()`` call, unrolled over time.  It calls the batch
+pipeline's own token-chunk step and join, one sealed chunk at a time,
+so a finalized stream is byte-identical — matches *and* work counters
+— to a one-shot batch run over the concatenated bytes with the same
+chunk boundaries:
 
-* sealed chunks are executed by the pipeline's own chunk runner
-  (:meth:`ParallelPipeline.chunk_runner`), chunk 0 from the initial
-  configuration, later chunks with ``start_states=None`` so the
-  feasible-path table supplies the candidate entry paths — the paper's
-  mid-stream entry, no history replay;
-* each sealed chunk is joined onto the carried ``(state, stack)`` with
-  the same :func:`~repro.transducer.mapping.join_results` the batch
-  pipeline uses (the join is per-chunk sequential, so feeding it one
-  chunk at a time accumulates identical counters: join steps,
-  misspeculations, reprocessed tokens);
+* each sealed chunk runs through
+  :meth:`~repro.transducer.pipeline.ParallelPipeline.run_token_chunk`
+  with the pipeline's chunk runner: chunk 0 from the initial
+  configuration, later chunks with no start states so the
+  feasible-path table supplies the candidate entry paths — the
+  paper's mid-stream entry, no history replay;
+* it is then joined onto the carried ``(state, stack)`` by
+  :meth:`~repro.transducer.pipeline.ParallelPipeline.join`, the join
+  and reprocess helper every batch run uses (the join is per-chunk
+  sequential, so feeding it one chunk at a time accumulates identical
+  counters: join steps, misspeculations, reprocessed tokens);
 * reprocessing after a misspeculation only ever needs the current
   chunk's tokens (recovery ranges lie inside the chunk being joined),
-  so resident token state stays bounded by one chunk.
+  so the reprocess source is a bisect slice of that chunk and resident
+  token state stays bounded by one chunk.
 
 Matches are emitted incrementally by :class:`DeltaFilter`, which runs
 the filter phase over anchor-*balanced* segments of the event stream:
@@ -34,7 +37,6 @@ bounded-memory stream does not keep (the batch engines serve those).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from ..core.engine import GapEngine
@@ -42,8 +44,7 @@ from ..jsonstream.incremental import IncrementalJSONTokenizer
 from ..jsonstream.tokenizer import DEFAULT_ROOT
 from ..obs.journal import Journal, NULL_JOURNAL
 from ..transducer.counters import WorkCounters
-from ..transducer.machine import run_sequential
-from ..transducer.mapping import join_results
+from ..transducer.pipeline import token_slicer
 from ..xmlstream.incremental import IncrementalLexer
 from ..xmlstream.tokens import Token, TokenKind
 from ..xpath.events import EventKind, MatchEvent
@@ -354,37 +355,14 @@ class StreamSession:
         ci = self._chunk_index
         if self.sealed_log is not None:
             self.sealed_log.append((begin, end, tuple(part)))
-        start = (frozenset((self.engine.automaton.initial,))
-                 if ci == 0 else None)
-        result = self._runner.run_chunk(part, ci, begin, end,
-                                        start_states=start,
-                                        journal=self.journal)
+        pipe = self._pipe
+        result = pipe.run_token_chunk(self._runner, part, ci, begin, end)
         self.totals.merge(result.counters)
-
-        offsets = [t.offset for t in part]
-
-        def reprocess(b: int, e: int, state: int, stack: list[int],
-                      skip_end: bool):
-            # recovery ranges lie inside the chunk being joined, so the
-            # chunk's own tokens suffice — same slicing as the batch
-            # token pipeline
-            lo = bisect_left(offsets, b)
-            hi = bisect_left(offsets, e)
-            sub = part[lo:hi]
-            if skip_end and sub and sub[0].is_end and sub[0].offset == b:
-                sub = sub[1:]
-            sub_counters = WorkCounters()
-            res = run_sequential(self.engine.automaton, sub,
-                                 self.engine.anchor_sids, state=state,
-                                 stack=stack, counters=sub_counters)
-            if self.journal.enabled:
-                self.journal.record("reprocess", offset=b, begin=b, end=e,
-                                    tokens=sub_counters.stack_tokens)
-            return res.state, res.stack, res.events, sub_counters.stack_tokens
-
-        state, stack, events = join_results(
-            (self._state, self._stack, []), [result], reprocess, self.totals,
-            strict=self._strict, journal=self.journal,
+        # recovery ranges lie inside the chunk being joined, so the
+        # chunk's own tokens suffice as the reprocess source
+        state, stack, events = pipe.join(
+            (self._state, self._stack, []), [result], token_slicer(part),
+            self.totals, strict=self._strict,
         )
         self._state, self._stack = state, stack
         self._chunk_index += 1

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from ..obs.journal import Journal, NULL_JOURNAL
 from ..obs.tracer import NULL_TRACER, Tracer
@@ -45,6 +46,7 @@ __all__ = [
     "ParallelPipeline",
     "run_pp_transducer",
     "run_sequential_pipeline",
+    "run_sequential_tokens",
 ]
 
 #: chunk-executor implementations: the dense table-driven kernel
@@ -52,6 +54,8 @@ __all__ = [
 #: interpreter (:class:`~repro.transducer.runner.ChunkRunner`, retained
 #: as the differential oracle)
 KERNELS = ("dense", "object")
+
+_offset = attrgetter("offset")
 
 
 @dataclass(slots=True)
@@ -112,6 +116,20 @@ def _skip_leading_end(tokens, begin: int):
     if first is not None and not (first.is_end and first.offset == begin):
         yield first
     yield from it
+
+
+def token_slicer(tokens: list):
+    """The join's token source over an offset-sorted token list.
+
+    ``tokens_in(begin, end)`` is the bisect slice of the tokens whose
+    offsets fall in ``[begin, end)`` — what :meth:`ParallelPipeline.join`
+    reprocesses for token-mode runs and stream seals.
+    """
+    def tokens_in(begin: int, end: int) -> list:
+        lo = bisect_left(tokens, begin, key=_offset)
+        return tokens[lo:bisect_left(tokens, end, lo, key=_offset)]
+
+    return tokens_in
 
 
 def _make_runner(automaton, policy, anchor_sids, tables, memo=False):
@@ -334,6 +352,64 @@ class ParallelPipeline:
         return _make_runner(self.automaton, self.policy, self.anchor_sids,
                             self._tables, memo=self.memo)
 
+    def run_token_chunk(self, runner, tokens, index: int, begin: int,
+                        end: int) -> ChunkResult:
+        """Execute one token chunk with ``runner`` under a ``chunk[i]`` span.
+
+        Chunk 0 starts from the initial configuration; later chunks
+        leave the entry paths to the policy.  :meth:`run_tokens` loops
+        over this and a stream calls it once per sealed chunk.
+        """
+        start = frozenset((self.automaton.initial,)) if index == 0 else None
+        with self.tracer.span(f"chunk[{index}]", cat="chunk") as sp:
+            result = runner.run_chunk(tokens, index, begin, end,
+                                      start_states=start, journal=self.journal)
+            if self.tracer.enabled:
+                _snapshot_chunk_counters(
+                    sp, result.counters,
+                    kernel="object" if isinstance(runner, ChunkRunner) else "dense",
+                )
+        return result
+
+    def join(self, first: tuple[int, list[int], list[MatchEvent]],
+             results: list[ChunkResult], tokens_in, totals: WorkCounters,
+             strict: bool) -> tuple[int, list[int], list[MatchEvent]]:
+        """The join phase: link ``results`` onto the carried ``first``.
+
+        ``first`` is the ``(state, stack, events)`` before the first
+        result — the initial configuration for a batch run, the last
+        seal's for a stream.  Misspeculated ranges are re-run with the
+        sequential transducer over ``tokens_in(begin, end)``, the
+        tokens of byte range ``[begin, end)``.
+        """
+        automaton, anchor_sids = self.automaton, self.anchor_sids
+        tracer, journal = self.tracer, self.journal
+
+        def reprocess(begin: int, end: int, state: int, stack: list[int],
+                      skip_end: bool):
+            with tracer.span("reprocess", cat="phase") as sp:
+                sub_counters = WorkCounters()
+                tokens = tokens_in(begin, end)
+                if skip_end:
+                    tokens = _skip_leading_end(tokens, begin)
+                res = run_sequential(automaton, tokens, anchor_sids,
+                                     state=state, stack=stack,
+                                     counters=sub_counters)
+                sp.args.update(begin=begin, end=end, tokens=sub_counters.stack_tokens)
+            if journal.enabled:
+                journal.record("reprocess", offset=begin, begin=begin, end=end,
+                               tokens=sub_counters.stack_tokens)
+            return res.state, res.stack, res.events, sub_counters.stack_tokens
+
+        with tracer.span("join", cat="phase") as sp:
+            joined = join_results(first, results, reprocess, totals,
+                                  strict=strict, journal=journal)
+            sp.args.update(
+                misspeculations=totals.misspeculations,
+                reprocessed_tokens=totals.reprocessed_tokens,
+            )
+        return joined
+
     def run_tokens(self, tokens: list, n_chunks: int,
                    edges: list[int] | None = None) -> ParallelRunResult:
         """Execute the three phases over a materialised token list.
@@ -385,8 +461,6 @@ class ParallelPipeline:
                         f"edge {cut} does not fall on a strictly-increasing offset"
                     )
 
-        tracer = self.tracer
-        journal = self.journal
         runner = self.chunk_runner()
         sampler = None
         if self.sample > 0:
@@ -402,58 +476,14 @@ class ParallelPipeline:
         results: list[ChunkResult] = []
         try:
             for ci, (i0, i1) in enumerate(zip(edges, edges[1:])):
-                begin = offsets[i0]
                 end = offsets[i1] if i1 < len(tokens) else end_sentinel
-                start = frozenset((self.automaton.initial,)) if ci == 0 else None
-                with tracer.span(f"chunk[{ci}]", cat="chunk") as sp:
-                    r = runner.run_chunk(
-                        tokens[i0:i1], ci, begin, end, start_states=start, journal=journal
-                    )
-                    if tracer.enabled:
-                        _snapshot_chunk_counters(sp, r.counters, kernel=self.kernel)
-                results.append(r)
+                results.append(self.run_token_chunk(
+                    runner, tokens[i0:i1], ci, offsets[i0], end))
         finally:
             if sampler is not None:
                 sampler.stop()
-
-        totals = WorkCounters()
-        per_chunk: list[WorkCounters] = []
-        for r in results:
-            per_chunk.append(r.counters)
-            totals.merge(r.counters)
-
-        def reprocess(begin: int, end: int, state: int, stack: list[int], skip_end: bool):
-            with tracer.span("reprocess", cat="phase") as sp:
-                lo = bisect_left(offsets, begin)
-                hi = bisect_left(offsets, end)
-                sub = tokens[lo:hi]
-                if skip_end and sub and sub[0].is_end and sub[0].offset == begin:
-                    sub = sub[1:]
-                sub_counters = WorkCounters()
-                res = run_sequential(
-                    self.automaton, sub, self.anchor_sids,
-                    state=state, stack=stack, counters=sub_counters,
-                )
-                sp.args.update(begin=begin, end=end, tokens=sub_counters.stack_tokens)
-            if journal.enabled:
-                journal.record("reprocess", offset=begin, begin=begin, end=end,
-                               tokens=sub_counters.stack_tokens)
-            return res.state, res.stack, res.events, sub_counters.stack_tokens
-
-        strict = not self.policy.speculative
-        with tracer.span("join", cat="phase") as sp:
-            state, _stack, events = join_results(
-                (self.automaton.initial, [], []), results, reprocess, totals,
-                strict=strict, journal=journal,
-            )
-            sp.args.update(
-                misspeculations=totals.misspeculations,
-                reprocessed_tokens=totals.reprocessed_tokens,
-            )
-        self._persist_memo()
-        return ParallelRunResult(
-            events=events, final_state=state, counters=totals, chunk_counters=per_chunk
-        )
+        return self._finish(results, token_slicer(tokens),
+                            strict=not self.policy.speculative)
 
     def run(
         self,
@@ -506,6 +536,18 @@ class ParallelPipeline:
             else:
                 results = self.backend.map_with_context(ctx, _run_one_chunk, chunks)
 
+        # supervision relaxes the strict join: an incomplete mapping is
+        # then recovered by targeted reprocessing (the speculative
+        # machinery) rather than failing the whole run
+        return self._finish(
+            results, lambda begin, end: lex_range(text, begin, end),
+            strict=not self.policy.speculative and self.resilience is None,
+            report=report,
+        )
+
+    def _finish(self, results: list[ChunkResult], tokens_in, strict: bool,
+                report: ResilienceReport | None = None) -> ParallelRunResult:
+        """Total the chunk results and join them from the initial configuration."""
         totals = WorkCounters()
         per_chunk: list[WorkCounters] = []
         # results arrive in chunk order whatever the backend, so adopting
@@ -514,54 +556,21 @@ class ParallelPipeline:
             per_chunk.append(r.counters)
             totals.merge(r.counters)
             if r.spans:
-                tracer.extend(r.spans)
+                self.tracer.extend(r.spans)
             if r.journal:
-                journal.adopt(r.journal)
+                self.journal.adopt(r.journal)
             if r.samples and self.profile is not None:
                 self.profile.merge(r.samples)
         if report is not None:
             totals.retries += report.retries
             totals.timeouts += report.timeouts
             totals.fallbacks += report.fallbacks
-
-        def reprocess(begin: int, end: int, state: int, stack: list[int], skip_end: bool):
-            with tracer.span("reprocess", cat="phase") as sp:
-                sub_counters = WorkCounters()
-                tokens = lex_range(text, begin, end)
-                if skip_end:
-                    tokens = _skip_leading_end(tokens, begin)
-                res = run_sequential(
-                    self.automaton,
-                    tokens,
-                    self.anchor_sids,
-                    state=state,
-                    stack=stack,
-                    counters=sub_counters,
-                )
-                sp.args.update(begin=begin, end=end, tokens=sub_counters.stack_tokens)
-            if journal.enabled:
-                journal.record("reprocess", offset=begin, begin=begin, end=end,
-                               tokens=sub_counters.stack_tokens)
-            return res.state, res.stack, res.events, sub_counters.stack_tokens
-
-        # supervision relaxes the strict join: an incomplete mapping is
-        # then recovered by targeted reprocessing (the speculative
-        # machinery) rather than failing the whole run
-        strict = not self.policy.speculative and self.resilience is None
-        with tracer.span("join", cat="phase") as sp:
-            state, _stack, events = join_results(
-                (self.automaton.initial, [], []), results, reprocess, totals,
-                strict=strict, journal=journal,
-            )
-            sp.args.update(
-                misspeculations=totals.misspeculations,
-                reprocessed_tokens=totals.reprocessed_tokens,
-            )
+        state, _stack, events = self.join(
+            (self.automaton.initial, [], []), results, tokens_in, totals, strict)
         self._persist_memo()
         return ParallelRunResult(
             events=events, final_state=state, counters=totals, chunk_counters=per_chunk
         )
-
 
 def run_pp_transducer(
     text: str,
@@ -587,10 +596,19 @@ def run_sequential_pipeline(
     Packaged as a :class:`ParallelRunResult` with a single "chunk" so
     speedup computations treat it uniformly.
     """
-    counters = WorkCounters(chunks=1, bytes_lexed=len(text), starting_paths=1)
-    res = run_sequential(
-        automaton, lex_range(text, 0, len(text)), anchor_sids, counters=counters
-    )
+    return run_sequential_tokens(lex_range(text, 0, len(text)), automaton,
+                                 anchor_sids, bytes_lexed=len(text))
+
+
+def run_sequential_tokens(
+    tokens,
+    automaton: QueryAutomaton,
+    anchor_sids: frozenset[int] = frozenset(),
+    bytes_lexed: int = 0,
+) -> ParallelRunResult:
+    """:func:`run_sequential_pipeline` over any token iterable."""
+    counters = WorkCounters(chunks=1, bytes_lexed=bytes_lexed, starting_paths=1)
+    res = run_sequential(automaton, tokens, anchor_sids, counters=counters)
     return ParallelRunResult(
         events=res.events,
         final_state=res.state,

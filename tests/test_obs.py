@@ -134,6 +134,32 @@ class TestTracedEngines:
         assert sum(s.args["tokens"] for s in chunks) == \
             engine.run(FEED_XML, n_chunks=3).stats.counters.total_tokens
 
+    @pytest.mark.parametrize("mode", ["text", "tokens"])
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_chunk_span_kernel_label_follows_runner(self, mode, custom):
+        # a PathPolicy subclass does not compile to dense tables, so the
+        # pipeline runs the object kernel and its spans must say so
+        from repro.transducer.pipeline import ParallelPipeline
+        from repro.transducer.policies import BaselinePolicy
+        from repro.xmlstream import lex
+
+        class Custom(BaselinePolicy):
+            pass
+
+        seq = SequentialEngine(self.QUERIES)
+        policy = (Custom if custom else BaselinePolicy)(seq.automaton)
+        tracer = Tracer()
+        pipe = ParallelPipeline(seq.automaton, policy, seq.anchor_sids,
+                                tracer=tracer)
+        if mode == "text":
+            pipe.run(FEED_XML, 3)
+        else:
+            pipe.run_tokens(list(lex(FEED_XML)), 3)
+        chunks = tracer.chunk_spans()
+        assert len(chunks) == 3
+        expected = "object" if custom else "dense"
+        assert [s.args["kernel"] for s in chunks] == [expected] * 3
+
     def test_sequential_engine_span(self):
         tracer = Tracer()
         engine = SequentialEngine(["//id"], tracer=tracer)
