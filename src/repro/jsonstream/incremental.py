@@ -34,10 +34,15 @@ Usage::
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from ..xmlstream.tokens import Token, TokenKind
 from .tokenizer import _NAME_RE, _NUMBER_RE, _WS, DEFAULT_ROOT, JSONError
 
 __all__ = ["IncrementalJSONTokenizer"]
+
+_new = tuple.__new__
+_START, _END, _TEXT = TokenKind.START, TokenKind.END, TokenKind.TEXT
 
 # Characters that can possibly extend a number token.  A maximal run of
 # these is collected first, then matched against the batch scanner's
@@ -110,7 +115,7 @@ class IncrementalJSONTokenizer:
             if self._mode == "scalar_string" or self._mode == "key_string":
                 raise JSONError("unterminated string", self._length)
             raise JSONError("unexpected end of input", self._length)
-        out.append(Token(TokenKind.END, self.root_name, self._length))
+        out.append(_new(Token, (_END, self.root_name, self._length)))
         return out
 
     # -- state snapshot (checkpoint support) ---------------------------
@@ -156,10 +161,13 @@ class IncrementalJSONTokenizer:
         """
         i = 0
         n = len(buf)
+        # member keys interned for this call only: every START/END of
+        # one key in the call shares one string
+        intern = {}.setdefault
         while True:
             mode = self._mode
             if mode in _SCALAR_MODES:
-                j = self._scan_token(buf, i, out, final)
+                j = self._scan_token(buf, i, out, final, intern)
                 if j is None:
                     return i
                 i = j
@@ -172,7 +180,7 @@ class IncrementalJSONTokenizer:
             ch = buf[i]
             at = self._base + i
             if mode == "init":
-                out.append(Token(TokenKind.START, self.root_name, at))
+                out.append(_new(Token, (_START, self.root_name, at)))
                 self._mode = "value"
                 self._pending = None
             elif mode == "value":
@@ -233,7 +241,7 @@ class IncrementalJSONTokenizer:
             self._mode = "arr_first"
             return i + 1
         if pending is not None:
-            out.append(Token(TokenKind.START, pending[0], pending[1]))
+            out.append(_new(Token, (_START, pending[0], pending[1])))
         self._wrap = pending[0] if pending else None
         if ch == "{":
             self._stack.append(("obj", self._wrap))
@@ -247,8 +255,8 @@ class IncrementalJSONTokenizer:
             raise JSONError(f"unexpected character {ch!r}", at)
         return i  # scalar modes re-dispatch from the token's first byte
 
-    def _scan_token(self, buf: str, i: int, out: list[Token],
-                    final: bool) -> int | None:
+    def _scan_token(self, buf: str, i: int, out: list[Token], final: bool,
+                    intern: Callable[[str, str], str]) -> int | None:
         """Scan the held scalar/key starting at ``i``; None = incomplete."""
         if self._mode == "scalar_run":
             return self._scan_run(buf, i, out, final)
@@ -263,11 +271,11 @@ class IncrementalJSONTokenizer:
                     f"member key {decoded!r} is not usable as an element name",
                     at,
                 )
-            self._key = (decoded, at)
+            self._key = (intern(decoded, decoded), at)
             self._mode = "obj_colon"
             return j
         if decoded.strip():
-            out.append(Token(TokenKind.TEXT, decoded, at + 1))
+            out.append(_new(Token, (_TEXT, decoded, at + 1)))
         self._finish_scalar(self._base + j, out)
         return j
 
@@ -285,7 +293,7 @@ class IncrementalJSONTokenizer:
             if buf[i:end] != word:
                 raise JSONError(f"unexpected character {buf[i]!r}", at)
             if word != "null":  # null maps to an empty element: no TEXT
-                out.append(Token(TokenKind.TEXT, word, at))
+                out.append(_new(Token, (_TEXT, word, at)))
             self._finish_scalar(self._base + end, out)
             return end
         j = i
@@ -297,7 +305,7 @@ class IncrementalJSONTokenizer:
         m = _NUMBER_RE.match(buf, i)
         if m is None or m.start() != i:
             raise JSONError(f"unexpected character {buf[i]!r}", at)
-        out.append(Token(TokenKind.TEXT, m.group(), at))
+        out.append(_new(Token, (_TEXT, m.group(), at)))
         # any leftover run bytes (e.g. "1.2.3") re-enter as a separator
         # position, failing exactly where the batch scanner fails
         self._finish_scalar(self._base + m.end(), out)
@@ -343,14 +351,14 @@ class IncrementalJSONTokenizer:
 
     def _finish_scalar(self, pos: int, out: list[Token]) -> None:
         if self._wrap is not None:
-            out.append(Token(TokenKind.END, self._wrap, pos))
+            out.append(_new(Token, (_END, self._wrap, pos)))
             self._wrap = None
         self._after_value()
 
     def _close_object(self, pos: int, out: list[Token]) -> None:
         name = self._stack.pop()[1]
         if name is not None:
-            out.append(Token(TokenKind.END, name, pos))
+            out.append(_new(Token, (_END, name, pos)))
         self._after_value()
 
     def _after_value(self) -> None:

@@ -44,6 +44,9 @@ _NAME_RE = re.compile(r"[A-Za-z_][\w.\-]*\Z")
 _WS = " \t\r\n"
 _NUMBER_RE = re.compile(r"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
+_new = tuple.__new__
+_START, _END, _TEXT = TokenKind.START, TokenKind.END, TokenKind.TEXT
+
 
 class JSONError(ValueError):
     """Raised on malformed JSON or keys unusable as element names."""
@@ -56,10 +59,10 @@ class JSONError(ValueError):
 def tokenize_json(text: str, root_name: str = DEFAULT_ROOT) -> list[Token]:
     """Tokenise a JSON document (see module docstring for the mapping)."""
     scanner = _Scanner(text)
-    out: list[Token] = [Token(TokenKind.START, root_name, scanner.skip_ws())]
+    out: list[Token] = [_new(Token, (_START, root_name, scanner.skip_ws()))]
     scanner.value(root_name, out, emit_wrapper=False)
     end = scanner.skip_ws_to_end()
-    out.append(Token(TokenKind.END, root_name, end))
+    out.append(_new(Token, (_END, root_name, end)))
     return out
 
 
@@ -67,6 +70,9 @@ class _Scanner:
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+        # member keys interned for this scanner only: every START/END
+        # of one key shares one string
+        self.intern = {}.setdefault
 
     def error(self, message: str) -> JSONError:
         return JSONError(message, self.pos)
@@ -123,7 +129,7 @@ class _Scanner:
                 raise self.error("expected ',' or ']' in array")
 
         if emit_wrapper:
-            out.append(Token(TokenKind.START, name, wrapper_at if wrapper_at >= 0 else i))
+            out.append(_new(Token, (_START, name, wrapper_at if wrapper_at >= 0 else i)))
 
         if ch == "{":
             self.pos = i + 1
@@ -132,13 +138,13 @@ class _Scanner:
             start = i
             content = self._string()
             if content.strip():
-                out.append(Token(TokenKind.TEXT, content, start + 1))
+                out.append(_new(Token, (_TEXT, content, start + 1)))
         elif self.text.startswith("true", i):
             self.pos = i + 4
-            out.append(Token(TokenKind.TEXT, "true", i))
+            out.append(_new(Token, (_TEXT, "true", i)))
         elif self.text.startswith("false", i):
             self.pos = i + 5
-            out.append(Token(TokenKind.TEXT, "false", i))
+            out.append(_new(Token, (_TEXT, "false", i)))
         elif self.text.startswith("null", i):
             self.pos = i + 4
         else:
@@ -146,10 +152,10 @@ class _Scanner:
             if m is None:
                 raise self.error(f"unexpected character {ch!r}")
             self.pos = m.end()
-            out.append(Token(TokenKind.TEXT, m.group(), i))
+            out.append(_new(Token, (_TEXT, m.group(), i)))
 
         if emit_wrapper:
-            out.append(Token(TokenKind.END, name, self.pos))
+            out.append(_new(Token, (_END, name, self.pos)))
 
     def _object(self, out: list[Token]) -> None:
         j = self.skip_ws()
@@ -165,6 +171,7 @@ class _Scanner:
                 raise JSONError(
                     f"member key {key!r} is not usable as an element name", key_at
                 )
+            key = self.intern(key, key)
             j = self.skip_ws()
             if self.text[j] != ":":
                 raise self.error("expected ':' after key")

@@ -15,9 +15,12 @@ each worker lexes and runs its own byte range.  The backend decides
   workloads that release the GIL).
 * :class:`ProcessBackend` — a process pool (the guide-recommended way
   to obtain real CPU parallelism in Python).  Each worker process
-  receives the shared context once via the pool initializer, so the
-  document text and automaton are pickled once per worker rather than
-  once per chunk.
+  receives the shared context once via the pool initializer, never
+  once per chunk.  Under the ``fork`` start method (the Linux default
+  through Python 3.13) the initializer's arguments are inherited
+  through the fork and not pickled at all; only under
+  ``spawn``/``forkserver`` are the document text and automaton
+  pickled, once per worker.
 
 All backends implement ``map_with_context(ctx, fn, items)`` with
 order-preserving results, so the pipeline code is backend-agnostic.

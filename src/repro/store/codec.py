@@ -450,9 +450,10 @@ def _decode_token_run(r: _Reader, strings: list[str]) -> list[Token]:
     if not (len(kinds) == len(offsets) == len(refs) == n):
         raise CodecError("token columns disagree on length")
     kind_of = _TOKEN_KINDS
+    new = tuple.__new__
     try:
         return [
-            Token(kind_of[k], strings[i], o)
+            new(Token, (kind_of[k], strings[i], o))
             for k, o, i in zip(kinds, offsets, refs)
         ]
     except IndexError:

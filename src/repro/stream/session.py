@@ -423,7 +423,8 @@ class StreamSession:
             self._lexer = lx
         else:
             self._lexer = IncrementalJSONTokenizer.restore(snap["lexer"])
-        self._tokens = [Token(TokenKind(k), name, off)
+        new = tuple.__new__
+        self._tokens = [new(Token, (TokenKind(k), name, off))
                         for k, name, off in snap["tokens"]]
         self._scan_from = 0
         self._next_begin = snap["next_begin"]

@@ -74,7 +74,13 @@ class ParallelRunResult:
 
 @dataclass(frozen=True, slots=True)
 class _Ctx:
-    """Shared worker context (pickled once per worker by ProcessBackend)."""
+    """Shared worker context, handed to each ProcessBackend worker once.
+
+    It travels as the pool initializer's argument: under the ``fork``
+    start method (the Linux default through Python 3.13) each worker
+    inherits it through the fork, with no pickling; only under
+    ``spawn``/``forkserver`` is it pickled, once per worker.
+    """
 
     text: str
     automaton: QueryAutomaton

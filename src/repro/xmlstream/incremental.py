@@ -26,10 +26,15 @@ Usage::
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .lexer import LexError, _name_end, _skip_attributes
 from .tokens import Token, TokenKind
 
 __all__ = ["IncrementalLexer"]
+
+_new = tuple.__new__
+_START, _END, _TEXT = TokenKind.START, TokenKind.END, TokenKind.TEXT
 
 
 class IncrementalLexer:
@@ -51,6 +56,8 @@ class IncrementalLexer:
             raise ValueError("feed() after close()")
         buf = self._buf + piece
         out: list[Token] = []
+        # tag names interned for this call only (see lexer.lex_range)
+        intern = {}.setdefault
         i = 0
         n = len(buf)
         while i < n:
@@ -60,10 +67,10 @@ class IncrementalLexer:
                     break  # text may continue in the next piece
                 content = buf[i:j]
                 if content.strip():
-                    out.append(Token(TokenKind.TEXT, content, self._base + i))
+                    out.append(_new(Token, (_TEXT, content, self._base + i)))
                 i = j
                 continue
-            advance = self._lex_tag(buf, i, out)
+            advance = self._lex_tag(buf, i, out, intern)
             if advance is None:
                 break  # construct incomplete: hold from i
             i = advance
@@ -80,12 +87,13 @@ class IncrementalLexer:
         if buf.lstrip().startswith("<") or "<" in buf:
             raise LexError("stream ended inside a markup construct", self._base)
         if buf.strip():
-            return [Token(TokenKind.TEXT, buf, self._base)]
+            return [_new(Token, (_TEXT, buf, self._base))]
         return []
 
     # ------------------------------------------------------------------
 
-    def _lex_tag(self, buf: str, i: int, out: list[Token]) -> int | None:
+    def _lex_tag(self, buf: str, i: int, out: list[Token],
+                 intern: Callable[[str, str], str]) -> int | None:
         """Lex one ``<...`` construct at ``i``; None if incomplete."""
         n = len(buf)
         if i + 1 >= n:
@@ -99,7 +107,7 @@ class IncrementalLexer:
             name = buf[i + 2 : _name_end(buf, i + 2)]
             if not name:
                 raise LexError("empty end-tag name", base + i)
-            out.append(Token(TokenKind.END, name, base + i))
+            out.append(_new(Token, (_END, intern(name, name), base + i)))
             return close + 1
         if nxt == "!":
             return self._lex_decl(buf, i)
@@ -121,14 +129,15 @@ class IncrementalLexer:
             return None  # an attribute value is split across pieces
         if k >= n:
             return None
-        out.append(Token(TokenKind.START, name, base + i))
+        name = intern(name, name)
+        out.append(_new(Token, (_START, name, base + i)))
         if buf[k] == "/":
             if k + 1 >= n:
                 # '/' at the very end: '/>' may straddle the boundary —
                 # roll back the START we just appended and wait
                 out.pop()
                 return None
-            out.append(Token(TokenKind.END, name, base + i))
+            out.append(_new(Token, (_END, name, base + i)))
             return k + 2
         return k + 1
 

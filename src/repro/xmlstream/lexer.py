@@ -76,6 +76,11 @@ def lex_range(text: str, start: int, end: int) -> Iterator[Token]:
     n = len(text)
     if end > n:
         end = n
+    new = tuple.__new__
+    START, END, TEXT = TokenKind.START, TokenKind.END, TokenKind.TEXT
+    # tag names interned for this call only: every START/END of a name
+    # shares one string (hash cached); nothing outlives the call
+    intern = {}.setdefault
     while i < end:
         ch = text[i]
         if ch == "<":
@@ -89,7 +94,7 @@ def lex_range(text: str, start: int, end: int) -> Iterator[Token]:
                 close = text.find(">", j)
                 if close == -1:
                     raise LexError("unterminated end tag", i)
-                yield Token(TokenKind.END, name, i)
+                yield new(Token, (END, intern(name, name), i))
                 i = close + 1
             elif nxt == "!":
                 i = _skip_markup_decl(text, i)
@@ -107,10 +112,11 @@ def lex_range(text: str, start: int, end: int) -> Iterator[Token]:
                 k = _skip_attributes(text, j)
                 if k >= n:
                     raise LexError("unterminated start tag", i)
-                yield Token(TokenKind.START, name, i)
+                name = intern(name, name)
+                yield new(Token, (START, name, i))
                 if text[k] == "/":
                     # <name/> — emit a matching END immediately
-                    yield Token(TokenKind.END, name, i)
+                    yield new(Token, (END, name, i))
                     i = k + 2
                 else:
                     i = k + 1
@@ -120,7 +126,7 @@ def lex_range(text: str, start: int, end: int) -> Iterator[Token]:
                 j = n
             content = text[i:j]
             if content.strip():
-                yield Token(TokenKind.TEXT, content, i)
+                yield new(Token, (TEXT, content, i))
             i = j
 
 

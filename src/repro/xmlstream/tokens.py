@@ -15,12 +15,24 @@ document.  Offsets serve two purposes:
 * **match identity** — a match is reported as the offset/index of the
   element's start tag, which also serves as the join key for the
   predicate filter phase.
+
+Representation.  A token is a :class:`typing.NamedTuple`: immutable
+and hashable.  Producers skip its Python-level ``__new__`` and build
+each token with ``tuple.__new__(Token, (kind, name, offset))``, one C
+call: through a Python-level constructor, building tokens was most of
+the cost of lexing.  Each
+producer call also interns tag names in a dict local to that call, so
+every START/END of one name shares one string whose hash is cached.
+Field reads go through the tuple's field getters, which CPython 3.11
+does not specialise as it does ``__slots__`` reads (see
+``docs/PERFORMANCE.md``).  One consequence of the tuple base: a token
+compares equal to the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["TokenKind", "Token", "start_tag", "end_tag", "text_token"]
 
@@ -37,8 +49,7 @@ class TokenKind(enum.IntEnum):
     TEXT = 2  #: character data between tags (whitespace-only text is skipped)
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token of the XML stream.
 
     Attributes
