@@ -4,11 +4,10 @@ The parallel phase is embarrassingly parallel once chunks are framed:
 each worker lexes and runs its own byte range.  The backend decides
 *where* that per-chunk work executes:
 
-* :class:`SerialBackend` — in-process loop.  The default: on this
-  reproduction's single-core host it is also the fastest, and the
+* :class:`SerialBackend` — in-process loop.  The default.  The
   simulated-cluster model (:mod:`repro.parallel.simcluster`) derives
   multicore speedups from the per-chunk work counters rather than from
-  wall-clock.
+  wall-clock, so it needs no real parallelism.
 * :class:`ThreadBackend` — a thread pool.  Functionally parallel, but
   CPython's GIL serialises the byte-crunching loops, so no speedup is
   expected (documented limitation; kept for API completeness and for
@@ -20,7 +19,11 @@ each worker lexes and runs its own byte range.  The backend decides
   through Python 3.13) the initializer's arguments are inherited
   through the fork and not pickled at all; only under
   ``spawn``/``forkserver`` are the document text and automaton
-  pickled, once per worker.
+  pickled, once per worker.  Each call builds a fresh pool and tears
+  it down, and every chunk's result is pickled in its worker and
+  unpickled in the parent.  On a 2-core host that per-call cost is
+  of the same order as the chunk work the pool spreads (see
+  ``docs/PERFORMANCE.md``, "Chunk result transport").
 
 All backends implement ``map_with_context(ctx, fn, items)`` with
 order-preserving results, so the pipeline code is backend-agnostic.

@@ -34,6 +34,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 from ..obs.journal import NULL_JOURNAL
 from ..obs.logsetup import get_logger
@@ -41,6 +42,8 @@ from ..xpath.events import MatchEvent
 from .counters import WorkCounters
 
 logger = get_logger("transducer.join")
+
+_new = tuple.__new__
 
 __all__ = [
     "SegmentEntry",
@@ -64,6 +67,22 @@ class SegmentEntry:
     events: list[MatchEvent]
     final_state: int = -1
     pushed: tuple[int, ...] = ()
+
+    def __reduce__(self):
+        # Wire form: every event's fields in one flat tuple.  Pickled
+        # one by one, each event would run the NamedTuple protocol (its
+        # Python-level ``__new__`` on load) and take a memo slot; the
+        # flat tuple pickles at C speed, and the EventKind members in
+        # it are memoised once per pickle.
+        return (_rebuild_entry,
+                (tuple(chain.from_iterable(self.events)), self.final_state, self.pushed))
+
+
+def _rebuild_entry(fields: tuple, final_state: int, pushed: tuple[int, ...]) -> SegmentEntry:
+    """Unpickle a :class:`SegmentEntry` from its wire form."""
+    it = iter(fields)
+    return SegmentEntry([_new(MatchEvent, row) for row in zip(it, it, it, it)],
+                        final_state, pushed)
 
 
 @dataclass(slots=True)
@@ -184,7 +203,7 @@ def _consume(cohort: Cohort, state: int, stack: Sequence[int]) -> _CohortOutcome
     if entry is None:
         return _CohortOutcome(False, [], resume_offset=cohort.restart_offset,
                               resume_state=state, resume_pops=0)
-    events.extend(ev.rebased(base) for ev in entry.events)
+    _rebase_into(events, entry.events, base)
     pops = 0
     n = len(stack)
     for prev, seg in zip(segments, segments[1:]):
@@ -205,9 +224,19 @@ def _consume(cohort: Cohort, state: int, stack: Sequence[int]) -> _CohortOutcome
             return _CohortOutcome(False, events, resume_offset=prev.end_offset,
                                   resume_state=value, resume_pops=pops,
                                   resume_skip_end=True)
-        events.extend(ev.rebased(base) for ev in entry.events)
+        _rebase_into(events, entry.events, base)
     return _CohortOutcome(True, events, state=entry.final_state, pops=pops,
                           pushed=entry.pushed)
+
+
+def _rebase_into(out: list[MatchEvent], events: list[MatchEvent], base: int) -> None:
+    """Append ``events`` to ``out`` with ``base`` added to each depth
+    (:meth:`MatchEvent.rebased`, unpacked: faster per event)."""
+    if base == 0:
+        out.extend(events)
+    else:
+        out.extend([_new(MatchEvent, (kind, sid, offset, depth + base))
+                    for kind, sid, offset, depth in events])
 
 
 #: reprocess(begin_offset, end_offset, state, stack, skip_end_at_begin)

@@ -25,12 +25,28 @@ depths relative to the chunk start — possibly negative after underflow
 pops — and the join phase, which carries the concrete stack, rebases
 each chunk's events by the incoming stack height
 (:func:`MatchEvent.rebased`).
+
+Representation.  An event is a :class:`typing.NamedTuple`: immutable
+and hashable.  :func:`hit`, :func:`close` and :meth:`MatchEvent.rebased`
+skip its Python-level ``__new__`` and build each event with
+``tuple.__new__(MatchEvent, (kind, sid, offset, depth))``, one C call.
+The kernels and the sequential runner build events through
+:func:`hit`/:func:`close`, and the join's rebase builds them the same
+way.  Chunk results cross the process boundary as pickles, where an
+event on its own would cost its class's Python-level pickle protocol;
+the segment entries that hold events ship them as one flat tuple of
+fields instead (see :class:`repro.transducer.mapping.SegmentEntry`).
+Field reads go through the tuple's field getters, which CPython 3.11
+does not specialise as it does ``__slots__`` reads, so the loops that
+read every event unpack it instead (see ``docs/PERFORMANCE.md``).  One
+consequence of the tuple base: an event compares equal to the plain
+tuple of its fields, and events are ordered as tuples.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["EventKind", "MatchEvent", "hit", "close"]
 
@@ -40,8 +56,12 @@ class EventKind(enum.IntEnum):
     CLOSE = 1
 
 
-@dataclass(frozen=True, slots=True)
-class MatchEvent:
+_HIT = EventKind.HIT
+_CLOSE = EventKind.CLOSE
+_new = tuple.__new__
+
+
+class MatchEvent(NamedTuple):
     """One entry on a transducer's output tape."""
 
     kind: EventKind
@@ -53,7 +73,8 @@ class MatchEvent:
         """This event with ``base`` added to its (chunk-local) depth."""
         if base == 0:
             return self
-        return MatchEvent(self.kind, self.sid, self.offset, self.depth + base)
+        kind, sid, offset, depth = self
+        return _new(MatchEvent, (kind, sid, offset, depth + base))
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         word = "hit" if self.kind == EventKind.HIT else "close"
@@ -61,8 +82,8 @@ class MatchEvent:
 
 
 def hit(sid: int, offset: int, depth: int = 0) -> MatchEvent:
-    return MatchEvent(EventKind.HIT, sid, offset, depth)
+    return _new(MatchEvent, (_HIT, sid, offset, depth))
 
 
 def close(sid: int, offset: int, depth: int = 0) -> MatchEvent:
-    return MatchEvent(EventKind.CLOSE, sid, offset, depth)
+    return _new(MatchEvent, (_CLOSE, sid, offset, depth))

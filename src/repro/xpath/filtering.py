@@ -150,18 +150,25 @@ def collect_events(
     """
     hits: dict[int, list[tuple[int, int]]] = {}
     anchor_events: dict[int, list[tuple[EventKind, int, int]]] = {}
-    for ev in events:
-        if ev.kind == EventKind.HIT:
-            hits.setdefault(ev.sid, []).append((ev.offset, ev.depth))
-            if ev.sid in anchor_events:
-                anchor_events[ev.sid].append((EventKind.HIT, ev.offset, ev.depth))
+    HIT, CLOSE = EventKind.HIT, EventKind.CLOSE
+    # unpacking reads an event's fields faster than its NamedTuple getters
+    for kind, sid, offset, depth in events:
+        if kind == HIT:
+            per_sid = hits.get(sid)
+            if per_sid is None:
+                per_sid = hits[sid] = []
+            per_sid.append((offset, depth))
+            opened = anchor_events.get(sid)
+            if opened is not None:
+                opened.append((HIT, offset, depth))
         else:
-            if ev.sid not in anchor_events:
+            opened = anchor_events.get(sid)
+            if opened is None:
                 # late discovery: replay the hits seen so far as opens
-                anchor_events[ev.sid] = [
-                    (EventKind.HIT, o, d) for o, d in hits.get(ev.sid, [])
+                opened = anchor_events[sid] = [
+                    (HIT, o, d) for o, d in hits.get(sid, [])
                 ]
-            anchor_events[ev.sid].append((EventKind.CLOSE, ev.offset, ev.depth))
+            opened.append((CLOSE, offset, depth))
     forests = {sid: IntervalForest.from_events(evs) for sid, evs in anchor_events.items()}
     return hits, forests
 
